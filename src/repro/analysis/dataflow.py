@@ -27,6 +27,7 @@ other analyses.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -212,13 +213,15 @@ class SparseSolver:
         instrs = [i for block in function.blocks for i in block
                   if not i.type.is_void]
         position = {id(i): n for n, i in enumerate(instrs)}
-        worklist = list(instrs)
-        queued = {id(i) for i in instrs}
+        # A min-heap of queued positions: a position is queued at most
+        # once, so instructions pop in program order, earliest first.
+        worklist = list(range(len(instrs)))
+        queued = set(worklist)
         visits = 0
         while worklist:
-            worklist.sort(key=lambda i: position[id(i)])
-            instr = worklist.pop(0)
-            queued.discard(id(instr))
+            at = heapq.heappop(worklist)
+            queued.discard(at)
+            instr = instrs[at]
             visits += 1
             if visits > max_visits:
                 raise RuntimeError(
@@ -235,11 +238,11 @@ class SparseSolver:
             self.facts[id(instr)] = (instr, new)
             for user, _ in instr.uses:
                 if (isinstance(user, Instruction) and user.parent is not None
-                        and not user.type.is_void
-                        and id(user) in position
-                        and id(user) not in queued):
-                    worklist.append(user)
-                    queued.add(id(user))
+                        and not user.type.is_void):
+                    at = position.get(id(user))
+                    if at is not None and at not in queued:
+                        heapq.heappush(worklist, at)
+                        queued.add(at)
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ _original_dce = _transforms.eliminate_dead_code
 def _inject_drop_barrier() -> Iterator[None]:
     # Pipelines bind the "dce" / "late-dce" steps from the
     # ``repro.transforms`` namespace when they are *built*, and the
-    # difftest oracle builds fresh pipelines per arm — patching the
+    # difftest oracle builds fresh pipelines per call — patching the
     # package attribute is the right seam.
     _transforms.eliminate_dead_code = _dce_dropping_barrier
     try:

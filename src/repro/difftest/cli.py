@@ -141,7 +141,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
     tested = 0
     failing: List[Verdict] = []
     total_melds = 0
-    verified_passes = 0
+    verifications = 0
     machine = MachineConfig(reconvergence=args.reconvergence)
     start = time.perf_counter()
 
@@ -157,8 +157,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
                              machine=machine, validate=args.validate)
         tested += 1
         total_melds += sum(r.melds for r in verdict.arms.values())
-        verified_passes += sum(r.verified_passes
-                               for r in verdict.arms.values())
+        verifications += verdict.verifications
         if not verdict.ok:
             _progress(args.quiet,
                       f"seed {seed}: FAIL — {verdict.failures[0]}")
@@ -195,7 +194,7 @@ def _campaign_body(args: argparse.Namespace, arms: Sequence[str],
     crashes = sum(1 for v in failing
                   for f in v.failures if f.kind == "crash")
     print(f"difftest: {tested} kernels x {len(arms)} arms in {elapsed:.1f}s "
-          f"({verified_passes} per-pass verifications, "
+          f"({verifications} per-pass verifications, "
           f"{total_melds} melds)")
     print(f"  output mismatches:  {mismatches}")
     print(f"  verifier failures:  {verifier_failures}")

@@ -12,8 +12,12 @@ arm             pipeline
 ``o3-bf``       -O3, then branch fusion + late cleanups
 ==============  ============================================================
 
-— with ``verify_function`` run after **every** pass (the
-``verify_after_each`` hook of :class:`~repro.transforms.PassPipeline`)
+— with the -O3 stage compiled **once** per spec: the ``o3`` arm keeps
+its output, and each melding arm runs its own stage 2 on a parsed copy
+of it (see :class:`_O3Output`), so an -O3 failure is
+reported once per requested optimizing arm, just as four independent
+compiles would report it.  ``verify_function`` runs after **every** pass
+(the ``verify_after_each`` hook of :class:`~repro.transforms.PassPipeline`)
 and the :mod:`repro.lint` rules differenced after every pass (the
 symmetric ``lint_after_each`` hook): a pass that *introduces* an
 error-severity diagnostic the previous IR did not carry — a barrier
@@ -62,6 +66,7 @@ from repro import (
     verify_function,
 )
 from repro.analysis import MeldValidationError, validate_melds_hook
+from repro.ir import Constant, Undef, parse_module, print_module
 from repro.simt import resolve_machine
 from repro.obs import MeldingDecision, Tracer, use as use_tracer
 
@@ -97,11 +102,14 @@ class ArmReport:
     """Compile + run outcome of one arm on one kernel."""
 
     arm: str
+    #: passes on this arm's path whose output was verified: the shared
+    #: -O3 stage plus, on a melding arm, its own stage 2 (0 on failure)
     verified_passes: int = 0
     melds: int = 0
     outputs: Optional[List[Dict[str, List[int]]]] = None
     failure: Optional[Failure] = None
-    #: the compiled kernel (present when compilation succeeded)
+    #: the compiled kernel, with ``.module`` and ``.function`` (present
+    #: when compilation succeeded)
     builder: Optional[object] = field(default=None, repr=False)
     #: the CFM pass's melding decision log (``o3-cfm`` arm only)
     decisions: List[MeldingDecision] = field(default_factory=list, repr=False)
@@ -115,6 +123,8 @@ class Verdict:
     arms: Dict[str, ArmReport] = field(default_factory=dict)
     failures: List[Failure] = field(default_factory=list)
     seconds: float = 0.0
+    #: per-pass verifications performed, the shared -O3 stage counted once
+    verifications: int = 0
 
     @property
     def ok(self) -> bool:
@@ -180,12 +190,10 @@ class _LintDiffer:
     exactly the pass that introduced it.
     """
 
-    def __init__(self, function) -> None:
-        self.count = 0
-        self.baseline = repro.lint(function)
+    def __init__(self, baseline) -> None:
+        self.baseline = baseline
 
     def __call__(self, pass_name: str, function) -> None:
-        self.count += 1
         report = repro.lint(function)
         new = report.new_errors(self.baseline)
         if new:
@@ -193,18 +201,72 @@ class _LintDiffer:
         self.baseline = report
 
 
-def _arm_pipeline(arm: str, hook: _PassVerifier,
-                  cfm_config: Optional[CFMConfig],
-                  lint_hook: Optional[_LintDiffer] = None,
-                  validate: bool = False) -> List[PassPipeline]:
-    """The pass pipelines one arm runs, in order (empty for ``noopt``)."""
-    if arm == "noopt":
-        return []
-    o3 = o3_pipeline()
-    o3.verify_after_each = hook
-    o3.lint_after_each = lint_hook
-    if arm == "o3":
-        return [o3]
+@dataclass
+class _Kernel:
+    """A compiled copy of the kernel: what launching an arm needs."""
+
+    module: object
+    function: object
+
+
+class _O3Output:
+    """The verified -O3 kernel, printed once and parsed per melding arm.
+
+    Passes read three things the printed text does not carry: new values
+    are named after their operands (printing numbers unnamed values and
+    uniques clashing names), constants are compared by identity, and φ
+    nodes are built in predecessor order (printing sorts predecessors).
+    Each parsed copy gets all three back from the original, which gets
+    its own names back too, so a melding arm compiles its copy to the IR
+    it would produce from the unparsed function.
+    """
+
+    def __init__(self, builder) -> None:
+        self.function = function = builder.function
+        names = [instr.name for instr in function.instructions()]
+        self.text = print_module(builder.module)
+        for instr, name in zip(function.instructions(), names):
+            instr.name = name
+
+    def copy(self) -> _Kernel:
+        original = self.function
+        module = parse_module(self.text)
+        function = module.functions[original.name]
+        shared: Dict[int, object] = {}
+        for theirs, ours in zip(original.instructions(),
+                                function.instructions()):
+            ours.name = theirs.name
+            for index, (value, parsed) in enumerate(
+                    zip(theirs.operands, ours.operands)):
+                if isinstance(parsed, (Constant, Undef)):
+                    ours.set_operand(index,
+                                     shared.setdefault(id(value), parsed))
+        blocks = {id(theirs): ours for theirs, ours
+                  in zip(original.blocks, function.blocks)}
+        for theirs, ours in zip(original.blocks, function.blocks):
+            ours._preds = [blocks[id(pred)] for pred in theirs._preds]
+        return _Kernel(module, function)
+
+
+def _failure(arm: str, exc: Exception) -> Failure:
+    """The :class:`Failure` a compile-time exception maps to."""
+    if isinstance(exc, PassVerificationError):
+        return Failure(arm=arm, kind="verifier", detail=str(exc),
+                       pass_name=exc.pass_name)
+    if isinstance(exc, PassLintError):
+        return Failure(arm=arm, kind="lint", detail=str(exc),
+                       pass_name=exc.pass_name)
+    if isinstance(exc, MeldValidationError):
+        return Failure(arm=arm, kind="validate", detail=str(exc),
+                       pass_name=exc.pass_name)
+    return Failure(arm=arm, kind="crash",
+                   detail=f"{type(exc).__name__}: {exc}")
+
+
+def _stage2(arm: str, hook: _PassVerifier,
+            cfm_config: Optional[CFMConfig], lint_hook: _LintDiffer,
+            validate: bool) -> PassPipeline:
+    """One melding arm's reducer followed by the late cleanups."""
     if arm == "o3-cfm" and validate:
         cfm_config = dataclasses.replace(cfm_config or CFMConfig(),
                                          validate=True)
@@ -224,62 +286,101 @@ def _arm_pipeline(arm: str, hook: _PassVerifier,
                                           else None))
     for late_pass in late_pipeline().passes:
         stage2.add(late_pass)
-    return [o3, stage2]
+    return stage2
 
 
-def _compile_arm(arm: str, spec: KernelSpec,
-                 cfm_config: Optional[CFMConfig],
-                 lint: bool = True, validate: bool = False) -> ArmReport:
+def _compile_melding_arm(arm: str, o3_output: _O3Output, o3_passes: int,
+                         o3_lint, cfm_config: Optional[CFMConfig],
+                         validate: bool) -> Tuple[ArmReport, int]:
+    """Run stage 2 of ``arm`` on its own copy of the -O3 output.
+
+    Returns the report and the number of stage-2 passes verified.
+    """
     report = ArmReport(arm=arm)
+    hook = _PassVerifier()
+    stage2 = _stage2(arm, hook, cfm_config, _LintDiffer(o3_lint), validate)
+    try:
+        kernel = o3_output.copy()
+        stage2.run(kernel.function)
+        verify_function(kernel.function)
+    except Exception as exc:
+        report.failure = _failure(arm, exc)
+        return report, hook.count
+    report.verified_passes = o3_passes + hook.count
+    if arm == "o3-cfm":
+        stats = stage2.passes[0].stats
+        report.melds = len(stats.melds) if stats else 0
+        report.decisions = list(stats.decisions) if stats else []
+        # The per-pass hook cannot see the decision log (it lives on the
+        # pass object); audit meld legality once, post-compile.
+        audit = repro.lint(kernel.function, rules=["meld-legality"],
+                           decisions=report.decisions)
+        if not audit.ok:
+            report.failure = Failure(
+                arm=arm, kind="lint", pass_name="cfm",
+                detail="; ".join(d.render().split("\n")[0]
+                                 for d in audit.errors))
+            return report, hook.count
+    report.builder = kernel
+    return report, hook.count
+
+
+def _compile_arms(spec: KernelSpec, arms: Sequence[str],
+                  cfm_config: Optional[CFMConfig],
+                  validate: bool = False
+                  ) -> Tuple[Dict[str, ArmReport], int]:
+    """Compile every arm in ``arms``, sharing one hooked -O3 stage.
+
+    The -O3 fixpoint runs once, under the verify and lint hooks.  The
+    ``o3`` arm keeps that function; every melding arm runs its stage 2
+    on its own parsed copy of the verified, linted -O3 output, starting
+    from the last -O3 lint report as its baseline (exact: the lint diff
+    compares rule ids only).  An -O3 failure is reported once per
+    requested optimizing arm, as each arm's own pipeline would have hit
+    it.  Returns the reports and the number of per-pass verifications
+    actually performed.
+    """
+    reports: Dict[str, ArmReport] = {}
+    if "noopt" in arms:
+        report = reports["noopt"] = ArmReport(arm="noopt")
+        builder = build_kernel(spec)
+        try:
+            verify_function(builder.function)
+        except Exception as exc:
+            report.failure = _failure("noopt", exc)
+        else:
+            report.builder = builder
+    optimizing = [arm for arm in arms if arm != "noopt"]
+    if not optimizing:
+        return reports, 0
+
     hook = _PassVerifier()
     builder = build_kernel(spec)
     function = builder.function
     try:
-        lint_hook = (_LintDiffer(function)
-                     if lint and arm != "noopt" else None)
-        pipelines = _arm_pipeline(arm, hook, cfm_config, lint_hook,
-                                  validate=validate)
-        for index, pipeline in enumerate(pipelines):
-            if index == 0:
-                pipeline.run_to_fixpoint(function)  # the -O3 stage
-            else:
-                pipeline.run(function)
+        lint_hook = _LintDiffer(repro.lint(function))
+        o3 = o3_pipeline()
+        o3.verify_after_each = hook
+        o3.lint_after_each = lint_hook
+        o3.run_to_fixpoint(function)
         verify_function(function)
-    except PassVerificationError as exc:
-        report.failure = Failure(arm=arm, kind="verifier", detail=str(exc),
-                                 pass_name=exc.pass_name)
-        return report
-    except PassLintError as exc:
-        report.failure = Failure(arm=arm, kind="lint", detail=str(exc),
-                                 pass_name=exc.pass_name)
-        return report
-    except MeldValidationError as exc:
-        report.failure = Failure(arm=arm, kind="validate", detail=str(exc),
-                                 pass_name=exc.pass_name)
-        return report
     except Exception as exc:
-        report.failure = Failure(arm=arm, kind="crash",
-                                 detail=f"{type(exc).__name__}: {exc}")
-        return report
-    report.verified_passes = hook.count
-    if arm == "o3-cfm":
-        cfm = next(p for pl in pipelines for p in pl.passes
-                   if isinstance(p, CFMPass))
-        report.melds = len(cfm.stats.melds) if cfm.stats else 0
-        report.decisions = list(cfm.stats.decisions) if cfm.stats else []
-        if lint:
-            # The per-pass hook cannot see the decision log (it lives on
-            # the pass object); audit meld legality once, post-compile.
-            audit = repro.lint(function, rules=["meld-legality"],
-                               decisions=report.decisions)
-            if not audit.ok:
-                report.failure = Failure(
-                    arm=arm, kind="lint", pass_name="cfm",
-                    detail="; ".join(d.render().split("\n")[0]
-                                     for d in audit.errors))
-                return report
-    report.builder = builder
-    return report
+        for arm in optimizing:
+            reports[arm] = ArmReport(arm=arm, failure=_failure(arm, exc))
+        return reports, hook.count
+
+    o3_output = _O3Output(builder)
+    verifications = hook.count
+    for arm in optimizing:
+        if arm == "o3":
+            reports[arm] = ArmReport(arm=arm, verified_passes=hook.count,
+                                     builder=builder)
+            continue
+        reports[arm], stage2_passes = _compile_melding_arm(
+            arm, o3_output, hook.count, lint_hook.baseline, cfm_config,
+            validate)
+        verifications += stage2_passes
+    return reports, verifications
 
 
 def arm_trace(spec: KernelSpec, arm: str,
@@ -295,7 +396,9 @@ def arm_trace(spec: KernelSpec, arm: str,
     """
     tracer = Tracer()
     with use_tracer(tracer):
-        report = _compile_arm(arm, spec, cfm_config, validate=validate)
+        reports, _ = _compile_arms(spec, (arm,), cfm_config,
+                                   validate=validate)
+    report = reports[arm]
     return {
         "arm": arm,
         "events": list(tracer.events),
@@ -374,8 +477,10 @@ def run_oracle(spec: KernelSpec,
     if "noopt" not in arm_list:
         arm_list.insert(0, "noopt")
 
+    reports, verdict.verifications = _compile_arms(
+        spec, arm_list, cfm_config, validate=validate)
     for arm in arm_list:
-        report = _compile_arm(arm, spec, cfm_config, validate=validate)
+        report = reports[arm]
         if report.failure is None:
             _run_arm(report, spec, input_seeds, machine=machine)
         verdict.arms[arm] = report

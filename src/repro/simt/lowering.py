@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 import operator
-import weakref
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis.dominators import (
@@ -711,16 +710,27 @@ def lower_function(function: Function, latency: LatencyModel) -> LoweredProgram:
 
 
 # ---------------------------------------------------------------------------
-# memoization — same shape as analysis.cached_divergence, but keyed on
-# MachineConfig.program_token() (latencies are baked into µops, and the
-# reconvergence policy keys defensively so per-policy lowering state can
-# never alias) and fingerprinted down to operand identity (operand
-# rewrites must miss).  latency_token/latency_token_key now live in
-# repro.analysis.latency and are re-imported above for compatibility.
+# memoization — keyed on MachineConfig.program_token() (latencies are baked
+# into µops, and the reconvergence policy keys defensively so per-policy
+# lowering state can never alias) and fingerprinted down to operand
+# identity (operand rewrites must miss).  The memo lives on the function
+# itself: a lowered program refers back into its function's IR, so any
+# memo outside the function would keep the function alive forever.
+# latency_token/latency_token_key now live in repro.analysis.latency and
+# are re-imported above for compatibility.
 
-_program_cache: "weakref.WeakKeyDictionary[Function, Dict[tuple, Tuple[tuple, LoweredProgram]]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: bumped by :func:`clear_lowering_memo`; a memo from an older epoch misses
+_epoch = 0
+
+
+def _memo_of(function: Function) -> Dict[tuple, Tuple[tuple, LoweredProgram]]:
+    """``function``'s program memo (token -> (fingerprint, program)),
+    started afresh when it predates the current epoch."""
+    memo = getattr(function, "_lowering_memo", None)
+    if memo is None or memo[0] != _epoch:
+        memo = (_epoch, {})
+        function._lowering_memo = memo
+    return memo[1]
 
 
 def function_fingerprint(function: Function) -> tuple:
@@ -761,16 +771,12 @@ def get_program(function: Function, machine) -> LoweredProgram:
     """
     token = machine.program_token()
     fingerprint = function_fingerprint(function)
-    per_function = _program_cache.get(function)
-    if per_function is not None:
-        hit = per_function.get(token)
-        if hit is not None and hit[0] == fingerprint:
-            return hit[1]
-    else:
-        per_function = {}
-        _program_cache[function] = per_function
+    memo = _memo_of(function)
+    hit = memo.get(token)
+    if hit is not None and hit[0] == fingerprint:
+        return hit[1]
     program = lower_function(function, machine.latency)
-    per_function[token] = (fingerprint, program)
+    memo[token] = (fingerprint, program)
     return program
 
 
@@ -785,19 +791,15 @@ def seed_program(function: Function, machine,
     lowering — if the function mutates before launch, the seed simply
     misses and lowering runs normally.
     """
-    token = machine.program_token()
-    per_function = _program_cache.get(function)
-    if per_function is None:
-        per_function = {}
-        _program_cache[function] = per_function
-    per_function[token] = (function_fingerprint(function), program)
+    _memo_of(function)[machine.program_token()] = (
+        function_fingerprint(function), program)
 
 
 def invalidate_lowering(function: Function) -> None:
     """Drop cached programs for ``function`` (operand-identity
     fingerprinting makes this rarely necessary; provided for symmetry
     with :func:`repro.analysis.invalidate_divergence`)."""
-    _program_cache.pop(function, None)
+    function._lowering_memo = None
 
 
 def clear_lowering_memo() -> None:
@@ -811,6 +813,9 @@ def clear_lowering_memo() -> None:
     poisoned entry from a legitimate one.  ``repro.scheduler`` workers
     call this after any task failure so the retry (in this worker or a
     replacement) always re-lowers from the IR instead of trusting
-    whatever the crashed attempt left in the memo.
+    whatever the crashed attempt left in the memo.  The memos live on
+    the functions, so this moves the epoch on and every older memo
+    misses.
     """
-    _program_cache.clear()
+    global _epoch
+    _epoch += 1

@@ -9,7 +9,10 @@ from repro.analysis import (
     live_variables,
     run_dataflow,
 )
-from repro.ir.instructions import BinaryOp
+from repro import o3_pipeline
+from repro.analysis.ranges import EMPTY, _transfer as ranges_transfer
+from repro.difftest import build_kernel, generate_spec
+from repro.ir.instructions import BinaryOp, Instruction
 from repro.ir.values import Constant
 
 from tests.support import parse
@@ -239,3 +242,74 @@ entry:
         solver = self._solver()
         # Before solve, nothing has a fact.
         assert solver.fact_of(self._instr(f, "a")) is None
+
+
+# ---------------------------------------------------------------------------
+# sparse solver visit order: the heap worklist against the sort-per-visit
+# loop it replaced
+
+
+def _sorted_list_solve(solver, function, max_visits=100_000):
+    """The solver's original loop: sort the whole worklist by program
+    position on every visit and pop its head."""
+    instrs = [i for block in function.blocks for i in block
+              if not i.type.is_void]
+    position = {id(i): n for n, i in enumerate(instrs)}
+    worklist = list(instrs)
+    queued = {id(i) for i in instrs}
+    visits = 0
+    while worklist:
+        worklist.sort(key=lambda i: position[id(i)])
+        instr = worklist.pop(0)
+        queued.discard(id(instr))
+        visits += 1
+        if visits > max_visits:
+            raise RuntimeError("did not converge")
+        new = solver.transfer(instr, solver.fact_of)
+        old = solver.fact_of(instr)
+        count = solver._recomputations.get(id(instr), 0) + 1
+        solver._recomputations[id(instr)] = count
+        if solver.widen is not None and count > solver.widen_after:
+            new = solver.widen(old, new)
+        if new == old:
+            continue
+        solver.facts[id(instr)] = (instr, new)
+        for user, _ in instr.uses:
+            if (isinstance(user, Instruction) and user.parent is not None
+                    and not user.type.is_void
+                    and id(user) in position
+                    and id(user) not in queued):
+                worklist.append(user)
+                queued.add(id(user))
+
+
+def _interval_solver():
+    """The solver :func:`repro.analysis.compute_ranges` builds."""
+    return SparseSolver(bottom=EMPTY, join=lambda a, b: a.join(b),
+                        transfer=ranges_transfer,
+                        widen=lambda old, new: new.widen(old))
+
+
+def _assert_same_solution(function):
+    heap, reference = _interval_solver(), _interval_solver()
+    heap.solve(function)
+    _sorted_list_solve(reference, function)
+    assert {k: fact for k, (_, fact) in heap.facts.items()} == \
+        {k: fact for k, (_, fact) in reference.facts.items()}
+    assert heap._recomputations == reference._recomputations
+
+
+class TestSparseSolverVisitOrder:
+    def test_heap_matches_sorted_list_on_generated_kernels(self):
+        widened = 0
+        for seed in range(150):
+            function = build_kernel(generate_spec(seed)).function
+            _assert_same_solution(function)
+            o3_pipeline().run_to_fixpoint(function)
+            _assert_same_solution(function)
+            solver = _interval_solver()
+            solver.solve(function)
+            widened += any(count > solver.widen_after
+                           for count in solver._recomputations.values())
+        # Loops in the corpus drive some values past the widening point.
+        assert widened > 0

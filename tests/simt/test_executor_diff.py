@@ -32,7 +32,7 @@ import pytest
 import repro
 from repro import GPU
 from repro.difftest.generator import generate_spec, make_inputs
-from repro.difftest.oracle import ALL_ARMS, _compile_arm
+from repro.difftest.oracle import ALL_ARMS, _compile_arms
 from repro.obs import Tracer, use
 from repro.obs.report import divergence_summary, render_report
 from repro.simt import RECONVERGENCE_POLICIES, MachineConfig
@@ -79,8 +79,8 @@ def _run_arm_observed(builder, spec, machine):
 @pytest.mark.parametrize("seed", range(SEED_COUNT))
 def test_executors_and_policies_agree_on_generated_kernel(seed):
     spec = generate_spec(seed)
-    for arm in ALL_ARMS:
-        report = _compile_arm(arm, spec, None)
+    reports, _ = _compile_arms(spec, ALL_ARMS, None)
+    for arm, report in reports.items():
         if report.failure is not None or report.builder is None:
             continue  # compile-side failure: not this suite's concern
         per_policy = {}

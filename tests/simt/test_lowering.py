@@ -11,17 +11,21 @@ latency model and reconvergence policy.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import repro
 from repro import GPU, GLOBAL_I32_PTR, ICmpPredicate, KernelBuilder, run_kernel
 from repro.analysis.latency import LatencyModel
 from repro.difftest.generator import generate_spec, make_inputs
-from repro.difftest.oracle import ALL_ARMS, _compile_arm
+from repro.difftest.oracle import ALL_ARMS, _compile_arms
 from repro.ir import Constant, I32, Opcode, verify_function
 from repro.simt import (
     MachineConfig,
     SimulationError,
+    clear_lowering_memo,
     get_program,
     invalidate_lowering,
     lower_function,
@@ -140,8 +144,8 @@ b:
 def test_generator_seed_130_all_arms_agree():
     spec = generate_spec(130)
     ran = 0
-    for arm in ALL_ARMS:
-        report = _compile_arm(arm, spec, None)
+    reports, _ = _compile_arms(spec, ALL_ARMS, None)
+    for arm, report in reports.items():
         if report.failure is not None or report.builder is None:
             continue
         per_executor = {}
@@ -225,6 +229,29 @@ def test_invalidate_lowering_forces_relower():
     before = get_program(f, machine)
     invalidate_lowering(f)
     assert get_program(f, machine) is not before
+
+
+def test_clear_lowering_memo_forces_relower():
+    f = _simple_function()
+    machine = MachineConfig()
+    before = get_program(f, machine)
+    clear_lowering_memo()
+    after = get_program(f, machine)
+    assert after is not before
+    assert get_program(f, machine) is after
+
+
+def test_launched_function_is_freed_once_dropped():
+    # The memo lives on the function, so a lowered program (which refers
+    # back into the function's IR) cannot keep the function alive.
+    f = _simple_function()
+    run_kernel(f.module, "k", 1, 8, buffers={"p": [0] * 8},
+               machine=MachineConfig())
+    assert get_program(f, MachineConfig()) is get_program(f, MachineConfig())
+    dropped = weakref.ref(f)
+    del f
+    gc.collect()
+    assert dropped() is None
 
 
 def test_program_cache_keyed_by_latency_model():

@@ -26,7 +26,7 @@ import pytest
 import repro
 from repro.analysis.latency import LatencyModel
 from repro.difftest.generator import generate_spec, make_inputs
-from repro.difftest.oracle import ALL_ARMS, _compile_arm
+from repro.difftest.oracle import ALL_ARMS, _compile_arms
 from repro.ir import print_module
 from repro.ir.parser import parse_module
 from repro.simt import (
@@ -45,8 +45,8 @@ SEED_COUNT = int(os.environ.get("REPRO_PROGRAM_SERIALIZE_SEEDS", "4"))
 def _arm_functions(seed):
     """Yield (arm, compiled builder) for every arm that compiles."""
     spec = generate_spec(seed)
-    for arm in ALL_ARMS:
-        report = _compile_arm(arm, spec, None)
+    reports, _ = _compile_arms(spec, ALL_ARMS, None)
+    for arm, report in reports.items():
         if report.failure is not None or report.builder is None:
             continue
         yield arm, spec, report.builder
