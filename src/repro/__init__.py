@@ -31,11 +31,9 @@ Internal layout:
   decisions, warp divergence) behind :func:`repro.trace`, plus the
   aggregate-metrics registry (counters/gauges/histograms with
   Prometheus exposition) behind :func:`repro.collect_metrics`;
-* :mod:`repro.scheduler` — generic multiprocess task scheduler
-  (queueing, retry, timeouts, crash recovery, worker recycling) that
-  the sweep engine and the job server share;
-* :mod:`repro.serve` — long-running compile-and-simulate job server
-  (``python -m repro.serve``) speaking an NDJSON socket protocol.
+* :mod:`repro.scheduler` — the persistent-worker pool behind parallel
+  sweeps (per-attempt timeout, crash respawn plus retry, lowering-memo
+  quarantine).
 """
 
 __version__ = "1.1.0"
@@ -120,17 +118,10 @@ from repro.compile_cache import (
     cfm_pipeline_id,
 )
 from repro.scheduler import (
-    NO_RECYCLE,
-    RecyclePolicy,
     Scheduler,
     SchedulerClosed,
     Task,
     TaskOutcome,
-)
-from repro.serve import (
-    JobServer,
-    ServeClient,
-    ServerConfig,
 )
 from repro.evaluation import (
     Comparison,
@@ -221,9 +212,7 @@ __all__ = [
     "counters", "best_improvement_rows",
     "format_table1", "format_table2", "format_speedups", "format_figure8",
     "format_counters",
-    # scheduler & job server
+    # scheduler
     "Scheduler", "SchedulerClosed", "Task", "TaskOutcome",
-    "RecyclePolicy", "NO_RECYCLE",
-    "JobServer", "ServerConfig", "ServeClient",
     "__version__",
 ]

@@ -19,20 +19,19 @@ independent — :func:`repro.evaluation.runner.compare` builds fresh
   processes and sweep repeats** — a warm sweep replays whole pipelines
   instead of compiling.
 
-This module is the sweep-shaped job layer over the generic
+This module is the sweep-shaped job layer over
 :class:`repro.scheduler.Scheduler`: the scheduler owns worker processes,
-queueing, retry, timeout and recycling; this layer owns what a sweep
-task *is* (:class:`SweepTask` → :func:`run_task` → :class:`TaskResult`)
-and how its telemetry folds into the ambient metrics registry.
+queueing, retry and timeout; this layer owns what a sweep task *is*
+(:class:`SweepTask` → :func:`run_task` → :class:`TaskResult`) and how
+its telemetry folds into the ambient metrics registry.
 
 ``workers <= 1`` runs tasks serially in-process (the scheduler's inline
 mode — the reference path the determinism tests compare against);
 ``workers > 1`` uses a pool of **persistent** worker processes, each
-serving many tasks, with an optional :class:`~repro.scheduler.RecyclePolicy`
-retiring workers after N tasks or M bytes RSS.  A task that fails in a
-persistent worker quarantines that worker's in-process lowering memo
-(see :func:`repro.simt.clear_lowering_memo`) before the next dispatch,
-so a crash cannot poison a later task's — or its own retry's — cache.
+serving many tasks.  A task that fails in a persistent worker
+quarantines that worker's in-process lowering memo (see
+:func:`repro.simt.clear_lowering_memo`) before the next dispatch, so a
+crash cannot poison a later task's — or its own retry's — cache.
 """
 
 from __future__ import annotations
@@ -53,14 +52,10 @@ from repro.obs import (
     use as use_tracer,
     use_registry,
 )
-from repro.scheduler import NO_RECYCLE, RecyclePolicy, Scheduler, Task
-from repro.scheduler.core import _mp_context  # noqa: F401  (back-compat)
+from repro.scheduler import DEFAULT_RETRIES, Scheduler, Task
 from repro.simt import MachineConfig
 
 from .runner import Comparison, CompileCache, compare
-
-#: forcibly terminated / crashed tasks are retried this many times
-DEFAULT_RETRIES = 1
 
 #: callback invoked after each terminal task result:
 #: ``progress(done, total, result)``
@@ -211,9 +206,7 @@ def fold_sweep_metrics(results: Sequence[TaskResult], wall_seconds: float,
     Deltas merge in task-index order — the same order the serial path
     produced them in — so an N-worker sweep's merged snapshot is
     bit-identical to the serial run's (modulo wall-clock-valued samples,
-    which are nondeterministic in any mode).  Shared by
-    :class:`ParallelRunner` and the :mod:`repro.serve` sweep job so a
-    sweep's metric families are the same no matter which surface ran it.
+    which are nondeterministic in any mode).
     """
     registry = current_registry()
     if not registry.enabled or not results:
@@ -262,29 +255,14 @@ class ParallelRunner:
 
     ``timeout`` is per task attempt, in seconds (``None`` disables it —
     only meaningful with ``workers > 1``, since the serial path cannot
-    preempt a running task).  ``recycle`` forwards a
-    :class:`~repro.scheduler.RecyclePolicy` to the worker pool
-    (irrelevant for ``workers <= 1``).
+    preempt a running task).
     """
 
     def __init__(self, workers: int = 1, timeout: Optional[float] = None,
-                 retries: int = DEFAULT_RETRIES,
-                 recycle: RecyclePolicy = NO_RECYCLE) -> None:
+                 retries: int = DEFAULT_RETRIES) -> None:
         self.workers = max(1, int(workers))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.recycle = recycle
-        #: concurrency-slot id -> busy seconds, rebuilt by each run()
-        self._slot_busy: Dict[int, float] = {}
-        #: repro_sched_* snapshot of the last run()'s pool (worker
-        #: lifetimes, recycling, respawns); None before the first run
-        self.scheduler_metrics: Optional[Dict[str, object]] = None
-
-    def _fold_metrics(self, results: Sequence[TaskResult],
-                      wall_seconds: float) -> None:
-        fold_sweep_metrics(results, wall_seconds, self._slot_busy)
-
-    # ---- public API -------------------------------------------------------
 
     def run(self, tasks: Sequence[SweepTask],
             progress: Optional[ProgressCallback] = None) -> List[TaskResult]:
@@ -296,7 +274,6 @@ class ParallelRunner:
         tasks = list(tasks)
         if not tasks:
             return []
-        self._slot_busy = {}
         start = time.perf_counter()
         total = len(tasks)
         by_index: Dict[int, TaskResult] = {}
@@ -320,23 +297,11 @@ class ParallelRunner:
 
         scheduler = Scheduler(
             workers=0 if self.workers <= 1 else self.workers,
-            timeout=self.timeout, retries=self.retries, recycle=self.recycle)
+            timeout=self.timeout, retries=self.retries)
         with scheduler:
             scheduler.run([Task(_sweep_fn, task) for task in tasks],
                           on_outcome=on_outcome)
-        self._slot_busy = dict(scheduler.slot_busy)
-        self.scheduler_metrics = scheduler.metrics_snapshot()
         results = [by_index[index] for index in range(total)]
-        self._fold_metrics(results, time.perf_counter() - start)
+        fold_sweep_metrics(results, time.perf_counter() - start,
+                           scheduler.slot_busy)
         return results
-
-
-def run_tasks(tasks: Sequence[SweepTask], workers: int = 1,
-              timeout: Optional[float] = None,
-              retries: int = DEFAULT_RETRIES,
-              progress: Optional[ProgressCallback] = None,
-              recycle: RecyclePolicy = NO_RECYCLE) -> List[TaskResult]:
-    """Convenience wrapper: ``ParallelRunner(...).run(tasks)``."""
-    return ParallelRunner(workers=workers, timeout=timeout,
-                          retries=retries, recycle=recycle
-                          ).run(tasks, progress=progress)

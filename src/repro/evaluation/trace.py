@@ -26,8 +26,8 @@ snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`) of the whole
 harness run — compile-cache hit rates, per-pass latency histograms,
 divergence distributions, task throughput — folded across every worker
 process.  ``python -m repro.obs metrics sweep_trace.json`` renders it
-as Prometheus text or JSON.  :func:`load_sweep_trace` reads v1, v2 and
-v3 files (older files load with ``"metrics": None``).
+as Prometheus text or JSON.  :func:`load_sweep_trace` reads v3 files
+only.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from .parallel import TaskResult
 
 #: bump when the trace layout changes; consumers key off this
 SWEEP_TRACE_SCHEMA = "repro.evaluation.sweep_trace/v3"
-#: v2 layout (traceEvents but no aggregate metrics); still readable
-SWEEP_TRACE_SCHEMA_V2 = "repro.evaluation.sweep_trace/v2"
-#: v1 layout (no embedded traceEvents); still readable
-SWEEP_TRACE_SCHEMA_V1 = "repro.evaluation.sweep_trace/v1"
 
 #: task-tracing policies for sweeps: nothing, the first block size of
 #: each kernel (bounded file size), or every task
@@ -210,23 +206,12 @@ class SweepTraceCollector:
 
 
 def load_sweep_trace(path: str) -> Dict[str, object]:
-    """Read a ``sweep_trace.json`` of any known schema version.
-
-    Older files are upgraded in memory: the returned dict always carries
-    a ``traceEvents`` list (empty for v1) and a ``metrics`` key (None
-    for v1/v2), and reports the file's original schema under
-    ``"schema"``.
-    """
+    """Read a ``sweep_trace.json`` written under :data:`SWEEP_TRACE_SCHEMA`."""
     with open(path) as handle:
         data = json.load(handle)
     schema = data.get("schema")
-    if schema not in (SWEEP_TRACE_SCHEMA, SWEEP_TRACE_SCHEMA_V2,
-                      SWEEP_TRACE_SCHEMA_V1):
+    if schema != SWEEP_TRACE_SCHEMA:
         raise ValueError(
             f"{path}: unknown sweep-trace schema {schema!r} (readable: "
-            f"{SWEEP_TRACE_SCHEMA_V1}, {SWEEP_TRACE_SCHEMA_V2}, "
             f"{SWEEP_TRACE_SCHEMA})")
-    data.setdefault("traceEvents", [])
-    data.setdefault("sections", {})
-    data.setdefault("metrics", None)
     return data

@@ -1,39 +1,32 @@
-"""``repro.scheduler`` — generic persistent-worker task scheduling.
+"""``repro.scheduler`` — the persistent-worker pool behind sweeps.
 
-The reusable process-pool layer extracted from the evaluation harness:
 :class:`Scheduler` runs picklable ``fn(payload, ctx)`` tasks over
-long-lived forked workers with deterministic result ordering, per-attempt
-timeouts, crash-retry, and policy-driven worker recycling
-(:class:`RecyclePolicy`).  Job-specific layers sit on top:
-:class:`repro.evaluation.ParallelRunner` adapts figure-sweep tasks, and
-:mod:`repro.serve` multiplexes whole job streams from network clients.
+long-lived forked workers with deterministic result ordering,
+per-attempt timeouts, crash respawn plus retry, and a quarantine of the
+lowering memo after any failed task.  ``workers=0`` runs tasks inline in
+the calling process.  :class:`repro.evaluation.ParallelRunner` adapts
+figure-sweep tasks onto it.
 
 Test hooks: ``repro.scheduler.worker._TEST_WORKER_CHAOS`` injects
 crashes, hangs and corrupt payloads by task index (see that module's
-docstring); it is surfaced as ``python -m repro.serve serve --chaos``
-for the CI kill-a-worker smoke test.
+docstring).
 """
 
 from .core import (
     DEFAULT_RETRIES,
-    NO_RECYCLE,
-    RecyclePolicy,
     Scheduler,
     SchedulerClosed,
     Task,
     TaskOutcome,
 )
-from .worker import CHAOS_MODES, TaskContext, rss_bytes
+from .worker import CHAOS_MODES, TaskContext
 
 __all__ = [
     "CHAOS_MODES",
     "DEFAULT_RETRIES",
-    "NO_RECYCLE",
-    "RecyclePolicy",
     "Scheduler",
     "SchedulerClosed",
     "Task",
     "TaskContext",
     "TaskOutcome",
-    "rss_bytes",
 ]

@@ -1,9 +1,8 @@
-"""Parent-side generic task scheduler over a persistent worker pool.
+"""Parent side of the sweep pool: a task scheduler over persistent workers.
 
-This is the reusable half of what ``evaluation/parallel.py`` used to do
-monolithically: a :class:`Scheduler` owns N long-lived worker processes
-(forked once, serving many tasks each) and a dispatcher thread, and runs
-arbitrary :class:`Task` callables with
+A :class:`Scheduler` owns N long-lived worker processes (forked once,
+serving many tasks each) and a dispatcher thread, and runs picklable
+:class:`Task` callables with
 
 * **deterministic ordering** — :meth:`Scheduler.run` returns outcomes in
   submission order regardless of completion order;
@@ -12,9 +11,8 @@ arbitrary :class:`Task` callables with
 * **crash recovery** — a worker that dies mid-task (or reports a corrupt
   payload) is respawned and the task retried, up to ``retries`` extra
   attempts;
-* **graceful recycling** — workers self-retire per
-  :class:`RecyclePolicy` (after N tasks or M bytes RSS), flushing their
-  lifetime metrics snapshot, and the pool replaces them transparently.
+* **quarantine** — a worker whose task failed clears the process-global
+  lowering memo before its next task (see :mod:`.worker`).
 
 Task callables must be **module-level functions** (they cross a pickle
 boundary) with signature ``fn(payload, ctx) -> value``; ``ctx`` is a
@@ -30,11 +28,9 @@ while worker failures append the remote traceback.
 The scheduler keeps its own self-telemetry in :attr:`Scheduler.registry`
 (``repro_sched_*`` families, deliberately namespaced apart from the
 ``repro_eval_*`` counters so serial-vs-parallel snapshot identity over
-evaluation metrics is unaffected); retired and stopped workers' lifetime
-snapshots are folded in as they leave, so recycling never loses
-telemetry.  Job-layer consumers live above this: see
-:class:`repro.evaluation.ParallelRunner` for sweeps and
-:mod:`repro.serve` for the long-running job service.
+evaluation metrics is unaffected); a graceful close folds in each
+worker's lifetime snapshot.  The sweep-shaped job layer above this is
+:class:`repro.evaluation.ParallelRunner`.
 """
 
 from __future__ import annotations
@@ -63,23 +59,6 @@ OutcomeCallback = Callable[["TaskOutcome"], None]
 
 class SchedulerClosed(RuntimeError):
     """Raised by :meth:`Scheduler.submit` after :meth:`Scheduler.close`."""
-
-
-@dataclass(frozen=True)
-class RecyclePolicy:
-    """When a worker should retire in favor of a fresh process.
-
-    ``max_tasks`` counts tasks served; ``max_rss_bytes`` is checked
-    against ``/proc/self/statm`` after each task (no-op on platforms
-    without procfs).  ``None`` disables that trigger; the default
-    disables both.
-    """
-
-    max_tasks: Optional[int] = None
-    max_rss_bytes: Optional[int] = None
-
-
-NO_RECYCLE = RecyclePolicy()
 
 
 @dataclass(frozen=True)
@@ -135,7 +114,6 @@ class _WorkerHandle:
     slot: int
     id: int
     busy: Optional[_Busy] = None
-    retiring: bool = False
 
 
 class Scheduler:
@@ -148,12 +126,10 @@ class Scheduler:
     """
 
     def __init__(self, workers: int = 1, timeout: Optional[float] = None,
-                 retries: int = DEFAULT_RETRIES,
-                 recycle: RecyclePolicy = NO_RECYCLE) -> None:
+                 retries: int = DEFAULT_RETRIES) -> None:
         self.workers = max(0, int(workers))
         self.timeout = timeout
         self.retries = max(0, int(retries))
-        self.recycle = recycle
         #: scheduler self-telemetry + folded worker-lifetime snapshots
         self.registry = MetricsRegistry()
         #: concurrency-slot id -> busy seconds (rebuilt per run())
@@ -366,9 +342,7 @@ class Scheduler:
         self._next_worker_id += 1
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, slot, child_conn, self.recycle.max_tasks,
-                  self.recycle.max_rss_bytes),
-            daemon=True)
+            args=(worker_id, slot, child_conn), daemon=True)
         process.start()
         child_conn.close()
         handle = _WorkerHandle(process=process, conn=parent_conn,
@@ -423,8 +397,7 @@ class Scheduler:
 
     def _dispatch(self) -> None:
         while True:
-            idle = next((w for w in self._live
-                         if w.busy is None and not w.retiring), None)
+            idle = next((w for w in self._live if w.busy is None), None)
             if idle is None:
                 break
             with self._lock:
@@ -450,18 +423,6 @@ class Scheduler:
                             "Tasks admitted but not yet dispatched"
                             ).set(depth)
 
-    def _on_retire(self, handle: _WorkerHandle, respawn: bool) -> None:
-        """Collect the retire/goodbye snapshot from a leaving worker."""
-        try:
-            message = handle.conn.recv()
-            if message[0] in ("retire", "goodbye"):
-                self.registry.merge(message[1])
-        except (EOFError, OSError, IndexError):
-            pass
-        self._count("repro_sched_workers_recycled_total",
-                    "Workers that self-retired per the recycle policy")
-        self._reap(handle, respawn=respawn)
-
     def _on_message(self, handle: _WorkerHandle) -> None:
         try:
             message = handle.conn.recv()
@@ -481,17 +442,11 @@ class Scheduler:
                     f"(exit code {exitcode})",
                     handle.id, crashed=True)
             return
-        kind = message[0]
-        if kind in ("retire", "goodbye"):  # death while idle (rare path)
-            if len(message) > 1:
-                self.registry.merge(message[1])
-            self._reap(handle, respawn=not self._closing)
-            return
         busy = handle.busy
         self._release_slot(handle)
         if busy is None:
             return  # stray message from a worker we already timed out
-        if len(message) != 9:
+        if len(message) != 8:
             # Satellite-1 "corrupt" chaos mode lands here: the payload
             # is unusable but the worker's message framing is intact,
             # so keep the worker and retry the task.
@@ -499,10 +454,7 @@ class Scheduler:
                 busy, "worker returned a corrupt payload", handle.id,
                 crashed=True)
             return
-        (_, index, attempt, ok, value, error, seconds, delta,
-         retiring) = message
-        if retiring:
-            handle.retiring = True
+        _, index, attempt, ok, value, error, seconds, delta = message
         if ok:
             self._settled(TaskOutcome(
                 index=index, ok=True, value=value, attempts=attempt,
@@ -511,10 +463,6 @@ class Scheduler:
         else:
             self._fail_or_retry(busy, error, handle.id, crashed=True,
                                 seconds=seconds, metrics_delta=delta)
-        if retiring:
-            with self._lock:
-                keep_pool = not self._closing or bool(self._pending)
-            self._on_retire(handle, respawn=keep_pool)
 
     def _check_timeouts(self) -> None:
         if self.timeout is None:
@@ -608,7 +556,7 @@ class Scheduler:
             for handle in [w for w in self._live if w.conn in ready]:
                 try:
                     message = handle.conn.recv()
-                    if message[0] in ("goodbye", "retire"):
+                    if message[0] == "goodbye":
                         self.registry.merge(message[1])
                 except (EOFError, OSError, IndexError):
                     pass

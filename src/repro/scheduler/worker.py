@@ -1,24 +1,17 @@
-"""Worker-process side of the generic task scheduler.
+"""Worker-process side of the sweep pool.
 
 A worker is a *persistent* process: it is forked once, then serves many
-tasks over a duplex pipe until the parent stops it, its recycle policy
-trips, or it dies.  Contrast with the pre-refactor ParallelRunner, which
-paid a full process spawn per task — the scheduler amortizes process
-startup, interpreter warm-up and module imports across tasks, at the
-price of *in-process state now outliving a task*.  Two consequences:
-
-* **recycling** — after ``RecyclePolicy.max_tasks`` tasks or once the
-  process RSS exceeds ``RecyclePolicy.max_rss_bytes``, the worker
-  retires itself (flushing its worker-lifetime metrics snapshot in the
-  goodbye message) and the parent forks a fresh replacement, so slow
-  memory growth can never accumulate unboundedly;
-* **quarantine** — a task that raises may have left process-global
-  caches half-written (most sharply the launch-time lowering memo,
-  whose fingerprints are keyed on object *identities* and therefore
-  cannot detect a poisoned entry).  After any task failure the worker
-  clears those memos before accepting the next task, so a crashing task
-  cannot poison a later task's — or a retry's — cache state
-  (``tests/scheduler/test_chaos.py::TestMemoQuarantine``).
+tasks over a duplex pipe until the parent stops it or it dies.  Contrast
+with a process-per-task pool: the scheduler amortizes process startup,
+interpreter warm-up and module imports across tasks, at the price of
+*in-process state now outliving a task*.  Hence the **quarantine**: a
+task that raises may have left process-global caches half-written (most
+sharply the launch-time lowering memo, whose fingerprints are keyed on
+object *identities* and therefore cannot detect a poisoned entry).
+After any task failure the worker clears those memos before accepting
+the next task, so a crashing task cannot poison a later task's — or a
+retry's — cache state
+(``tests/scheduler/test_chaos.py::TestMemoQuarantine``).
 
 Fault injection: ``_TEST_WORKER_CHAOS`` (mirroring
 ``repro.simt.fastpath._TEST_DISPATCH_DELAY``) maps a scheduler task
@@ -32,8 +25,7 @@ the retry path being exercised can actually succeed:
 * ``"hang"``          — sleep far past any sane timeout;
 * ``"corrupt"``       — run the task, then report a malformed message.
 
-Never set outside tests (the CLI exposes it as the ``--chaos`` flag for
-the CI ``serve-smoke`` job's kill-a-worker-mid-run step).
+Never set outside tests.
 """
 
 from __future__ import annotations
@@ -42,7 +34,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 #: task index -> chaos mode, consulted on attempt 1 only.  Forked
 #: workers inherit the parent's value, so tests set it before the
@@ -62,22 +54,6 @@ class TaskContext:
     index: int
     attempt: int
     worker: int
-
-
-def rss_bytes() -> Optional[int]:
-    """Resident set size of this process, or None where unknowable.
-
-    Stdlib-only: reads ``/proc/self/statm`` (Linux).  On platforms
-    without procfs, RSS-based recycling silently disables itself —
-    ``max_tasks`` recycling still works everywhere.
-    """
-    try:
-        with open("/proc/self/statm", "rb") as handle:
-            pages = int(handle.read().split()[1])
-    except (OSError, ValueError, IndexError):
-        return None
-    return pages * (os.sysconf("SC_PAGESIZE") if hasattr(os, "sysconf")
-                    else 4096)
 
 
 def _quarantine() -> None:
@@ -108,18 +84,14 @@ def _maybe_chaos_before(index: int, attempt: int) -> None:
         time.sleep(3600)
 
 
-def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
-                max_rss_bytes: Optional[int]) -> None:
-    """Serve tasks from ``conn`` until stopped, recycled, or killed.
+def worker_main(worker_id: int, slot: int, conn) -> None:
+    """Serve tasks from ``conn`` until stopped or killed.
 
     Messages in: ``("task", index, attempt, fn, payload, metrics)`` and
     ``("stop",)``.  Messages out: ``("result", index, attempt, ok,
-    value, error, seconds, metrics_delta, retiring)`` after each task —
-    ``retiring`` rides on the result so the parent never dispatches to a
-    worker that is about to leave — then ``("retire", snapshot)`` when
-    the recycle policy trips, or ``("goodbye", snapshot)`` in answer to
-    a stop; both carry the worker-lifetime metrics snapshot so recycling
-    never loses telemetry.
+    value, error, seconds, metrics_delta)`` after each task, and
+    ``("goodbye", snapshot)`` in answer to a stop, carrying the
+    worker-lifetime metrics snapshot.
     """
     from repro.obs import MetricsRegistry, use_registry
 
@@ -127,18 +99,6 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
     tasks_total = lifetime.counter(
         "repro_sched_worker_tasks_total",
         "Tasks served, by worker slot and outcome")
-    rss_gauge = lifetime.gauge(
-        "repro_sched_worker_rss_bytes",
-        "Resident set size sampled after each task, by worker slot")
-    served = 0
-
-    def goodbye(kind: str) -> None:
-        try:
-            conn.send((kind, lifetime.snapshot()))
-        except (BrokenPipeError, OSError):  # parent already gone
-            pass
-        finally:
-            conn.close()
 
     while True:
         try:
@@ -146,7 +106,12 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
         except (EOFError, OSError):  # parent died; nothing left to serve
             return
         if message[0] == "stop":
-            goodbye("goodbye")
+            try:
+                conn.send(("goodbye", lifetime.snapshot()))
+            except (BrokenPipeError, OSError):  # parent already gone
+                pass
+            finally:
+                conn.close()
             return
         _, index, attempt, fn, payload, metrics = message
         start = time.perf_counter()
@@ -172,16 +137,8 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
         if ok and registry is not None:
             delta = registry.snapshot()
         seconds = time.perf_counter() - start
-        served += 1
         tasks_total.labels(slot=str(slot),
                            outcome="ok" if ok else "error").inc()
-        rss = rss_bytes()
-        if rss is not None:
-            rss_gauge.labels(slot=str(slot)).set(rss)
-
-        retiring = (max_tasks is not None and served >= max_tasks) or (
-            max_rss_bytes is not None and rss is not None
-            and rss >= max_rss_bytes)
 
         mode = _TEST_WORKER_CHAOS.get(index) if attempt == 1 else None
         if mode == "exit-after":
@@ -189,20 +146,15 @@ def worker_main(worker_id: int, slot: int, conn, max_tasks: Optional[int],
         try:
             if mode == "corrupt":
                 conn.send(("result", index))  # malformed on purpose
-                retiring = False  # stay alive so the retry has a worker
             else:
                 conn.send(("result", index, attempt, ok, value, error,
-                           seconds, delta, retiring))
+                           seconds, delta))
         except (BrokenPipeError, OSError):
             return
         except Exception:  # unpicklable task value: report the failure
             try:
                 conn.send(("result", index, attempt, False, None,
                            "TypeError: task returned an unpicklable value\n",
-                           seconds, delta, retiring))
+                           seconds, delta))
             except (BrokenPipeError, OSError):
                 return
-
-        if retiring:
-            goodbye("retire")
-            return

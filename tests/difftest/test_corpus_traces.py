@@ -12,7 +12,7 @@ from repro.difftest import (
     run_oracle,
     write_entry,
 )
-from repro.difftest.corpus import ENTRY_SCHEMA, ENTRY_SCHEMA_V1
+from repro.difftest.corpus import ENTRY_SCHEMA
 
 
 def first_failing(kind="mismatch", seeds=range(30)):
@@ -69,10 +69,12 @@ class TestSchemaV2RoundTrip:
 
 
 class TestSchemaV1BackCompat:
-    def test_v1_entry_loads_with_empty_traces(self, tmp_path):
+    """Schema /1 (entries without per-arm traces) is no longer read."""
+
+    def test_v1_entry_rejected(self, tmp_path):
         spec = generate_spec(0)
         entry_v1 = {
-            "schema": ENTRY_SCHEMA_V1,
+            "schema": "repro.difftest.corpus/1",
             "name": "seed000000-mismatch",
             "spec": json.loads(spec.to_json()),
             "arms": ["noopt", "o3-cfm"],
@@ -84,10 +86,9 @@ class TestSchemaV1BackCompat:
         }
         path = tmp_path / "seed000000-mismatch.json"
         path.write_text(json.dumps(entry_v1))
-        entry = load_entry(path)
-        assert entry.name == "seed000000-mismatch"
-        assert entry.spec == spec
-        assert entry.traces == []
+        with pytest.raises(ValueError,
+                           match="schema 'repro.difftest.corpus/1'"):
+            load_entry(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,5 +1,5 @@
 """Sweep-trace schema v2: embedded Chrome events, pid rebasing,
-tracing policies, and v1 back-compat."""
+tracing policies, and the loader's schema check."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.evaluation import (
     SWEEP_TRACE_SCHEMA,
-    SWEEP_TRACE_SCHEMA_V1,
     TRACE_EVENT_POLICIES,
     SweepTask,
     SweepTraceCollector,
@@ -101,18 +100,15 @@ class TestLoadSweepTrace:
         assert data["schema"] == SWEEP_TRACE_SCHEMA
         assert data["traceEvents"]
 
-    def test_v1_file_loads_with_empty_events(self, tmp_path):
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({
-            "schema": SWEEP_TRACE_SCHEMA_V1,
-            "workers": 4,
-            "task_count": 0,
-            "sections": {"figure7": []},
-        }))
-        data = load_sweep_trace(str(path))
-        assert data["schema"] == SWEEP_TRACE_SCHEMA_V1
-        assert data["traceEvents"] == []
-        assert data["sections"] == {"figure7": []}
+    def test_v1_and_v2_files_rejected(self, tmp_path):
+        for version in ("v1", "v2"):
+            schema = f"repro.evaluation.sweep_trace/{version}"
+            path = tmp_path / f"{version}.json"
+            path.write_text(json.dumps({
+                "schema": schema, "workers": 4, "task_count": 0,
+                "sections": {"figure7": []}}))
+            with pytest.raises(ValueError, match=f"schema '{schema}'"):
+                load_sweep_trace(str(path))
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

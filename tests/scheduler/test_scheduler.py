@@ -1,7 +1,7 @@
 """Tests for the generic task scheduler (``repro.scheduler``):
 
-lifecycle, ordering, retry/timeout/crash contracts, worker recycling,
-metrics folding, and graceful shutdown.  Fault injection lives in
+lifecycle, ordering, retry/timeout/crash contracts, metrics folding,
+and graceful shutdown.  Fault injection lives in
 ``test_chaos.py``; the randomized soak harness in ``test_soak.py``.
 """
 
@@ -14,14 +14,11 @@ import pytest
 from repro.obs import current_registry, use_registry
 from repro.scheduler import (
     DEFAULT_RETRIES,
-    NO_RECYCLE,
-    RecyclePolicy,
     Scheduler,
     SchedulerClosed,
     Task,
     TaskContext,
     TaskOutcome,
-    rss_bytes,
 )
 
 
@@ -176,40 +173,6 @@ class TestPool:
         assert _counter_total(snap, "repro_sched_tasks_completed_total") == 4
         assert _counter_total(snap, "repro_sched_tasks_failed_total") == 1
         assert _counter_total(snap, "repro_sched_tasks_retried_total") == 1
-
-
-class TestRecycling:
-    def test_workers_recycle_after_max_tasks(self):
-        policy = RecyclePolicy(max_tasks=1)
-        with Scheduler(workers=1, recycle=policy) as sched:
-            outcomes = sched.run([Task(describe, None) for _ in range(3)])
-            snap = sched.metrics_snapshot()
-        pids = [o.value["pid"] for o in outcomes]
-        assert len(set(pids)) == 3, "each task should see a fresh worker"
-        assert _counter_total(snap, "repro_sched_workers_recycled_total") >= 2
-
-    def test_recycled_worker_flushes_snapshot(self):
-        """Retiring workers hand their lifetime registry back to the
-        parent (satellite: recycling flush)."""
-        policy = RecyclePolicy(max_tasks=1)
-        with Scheduler(workers=1, recycle=policy) as sched:
-            sched.run([Task(double, i) for i in range(2)])
-        # final worker's goodbye lands during graceful close
-        snap = sched.metrics_snapshot()
-        assert _counter_total(snap, "repro_sched_worker_tasks_total") >= 2
-
-    def test_rss_recycle_policy_probe(self):
-        assert rss_bytes() > 0
-        policy = RecyclePolicy(max_rss_bytes=1)  # always over budget
-        with Scheduler(workers=1, recycle=policy) as sched:
-            outcomes = sched.run([Task(describe, None) for _ in range(2)])
-        pids = [o.value["pid"] for o in outcomes]
-        assert len(set(pids)) == 2
-
-    def test_no_recycle_default(self):
-        with Scheduler(workers=1, recycle=NO_RECYCLE) as sched:
-            outcomes = sched.run([Task(describe, None) for _ in range(4)])
-        assert len({o.value["pid"] for o in outcomes}) == 1
 
 
 class TestShutdown:

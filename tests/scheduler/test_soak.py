@@ -1,9 +1,8 @@
 """Randomized property/soak tests for the scheduler.
 
 Seeded random task mixes (successes, deterministic failures, flaky
-tasks, sleepers) under random pool shapes (2-4 workers, random
-recycling, injected worker crashes).  The properties that must hold for
-every mix:
+tasks, sleepers) under random pool shapes (2-4 workers, injected worker
+crashes).  The properties that must hold for every mix:
 
 * **no lost or duplicated tasks** — exactly one terminal outcome per
   submitted task, in submission order;
@@ -20,7 +19,7 @@ import time
 
 import pytest
 
-from repro.scheduler import RecyclePolicy, Scheduler, Task
+from repro.scheduler import Scheduler, Task
 from repro.scheduler import worker as scheduler_worker
 
 pytestmark = pytest.mark.slow
@@ -61,14 +60,13 @@ def test_random_mix_properties(seed):
     rng = random.Random(seed)
     mix = _random_mix(rng, rng.randint(24, 48))
     workers = rng.randint(2, 4)
-    recycle = RecyclePolicy(max_tasks=rng.choice([None, 5, 9]))
     # crash a couple of random first attempts out from under the pool
     for index in rng.sample(range(len(mix)), 2):
         if mix[index][0] != "fail":  # keep failure containment decidable
             scheduler_worker._TEST_WORKER_CHAOS[index] = \
                 rng.choice(["exit", "raise", "exit-after"])
 
-    with Scheduler(workers=workers, recycle=recycle) as sched:
+    with Scheduler(workers=workers) as sched:
         outcomes = sched.run([Task(soak_fn, payload) for payload in mix])
         snap = sched.metrics_snapshot()
 
@@ -93,8 +91,8 @@ def test_random_mix_properties(seed):
 
 @pytest.mark.parametrize("seed", [7, 99])
 def test_submit_storm_with_callbacks(seed):
-    """Callback-style submission (the server's path): outcomes land
-    exactly once each, whatever order the pool settles them in."""
+    """Callback-style submission: outcomes land exactly once each,
+    whatever order the pool settles them in."""
     rng = random.Random(seed)
     mix = _random_mix(rng, 40)
     got = {}
@@ -111,16 +109,3 @@ def test_submit_storm_with_callbacks(seed):
     for index, (kind, value) in enumerate(mix):
         (outcome,) = got[index]
         assert outcome.ok == (kind != "fail")
-
-
-def test_sustained_load_with_aggressive_recycling():
-    """Every-task recycling under load: the pool keeps making progress
-    and the folded worker snapshots account for every task served."""
-    mix = [("ok", i) for i in range(30)]
-    with Scheduler(workers=3, recycle=RecyclePolicy(max_tasks=1)) as sched:
-        outcomes = sched.run([Task(soak_fn, p) for p in mix])
-    snap = sched.metrics_snapshot()
-    assert all(o.ok for o in outcomes)
-    assert [o.value for o in outcomes] == [i * 3 for i in range(30)]
-    assert _counter_total(snap, "repro_sched_worker_tasks_total") == 30
-    assert _counter_total(snap, "repro_sched_workers_recycled_total") >= 27

@@ -1,7 +1,11 @@
 """The public ``repro`` facade: compile / launch / meld + import hygiene."""
 
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -237,6 +241,27 @@ class TestFacadeSurface:
     def test_all_names_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
+
+    def test_fresh_import_stays_lean(self):
+        """``import repro`` in a new interpreter loads neither asyncio nor
+        the deleted job-server package (the sweep pool is plain
+        multiprocessing), and every exported name resolves there too."""
+        probe = (
+            "import json, sys, repro; print(json.dumps({"
+            "'heavy': sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'asyncio'"
+            " or tuple(m.split('.')[:2]) == ('repro', 'serve')),"
+            " 'missing': [n for n in repro.__all__"
+            " if getattr(repro, n, None) is None]}))")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")]
+            + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        result = json.loads(out.stdout)
+        assert result == {"heavy": [], "missing": []}
 
     def test_key_entry_points_exported(self):
         for name in ("compile", "launch", "meld", "analyze", "lint",
